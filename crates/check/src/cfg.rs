@@ -782,8 +782,9 @@ impl Builder {
                 _ => {}
             },
             "scx" => {
-                // scx(ctx, p, vec![handles…], fin_mask, rec, field, new):
-                // every handle in argument 2 is consumed.
+                // scx(ctx, p, [handles…], fin_mask, rec, field, new):
+                // every handle in argument 2 is consumed (an array, or a
+                // `vec![…]` in older call shapes).
                 if let Some(hs) = arg(2) {
                     for k in idents_in(hs) {
                         push(self, EventKind::Consume, k);
@@ -864,7 +865,7 @@ fn operand_ident(items: &[&Tt]) -> Option<String> {
 }
 
 /// Every bare identifier chain inside a token slice (used for `scx`'s
-/// `vec![h1, h2]` and `vlx`'s `&[&h]` handle lists).
+/// `[h1, h2]` and `vlx`'s `&[&h]` handle lists).
 fn idents_in(items: &[&Tt]) -> Vec<String> {
     let mut out = Vec::new();
     fn walk(items: &[Tt], out: &mut Vec<String>) {

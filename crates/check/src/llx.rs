@@ -31,7 +31,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nbsp_core::provider::Provider;
-use nbsp_llx::{Flaw, LlxDomain, LlxOutcome};
+use nbsp_llx::{Flaw, LlxDomain, LlxOutcome, MAX_V};
 use nbsp_memsim::sched::Decision;
 
 use crate::dpor::{explore, Judgment, Mode, Outcome};
@@ -109,11 +109,9 @@ fn run_one<P: Provider>(
     let mut ctx0 = P::ctx(&mut tc0);
     // Construction runs on the controller thread, where no yield-point
     // hook is installed, so none of these accesses become schedule steps.
-    let d = LlxDomain::new_flawed(
+    let d: LlxDomain<_, 1, 0> = LlxDomain::new_flawed(
         n,
         program.records,
-        1,
-        0,
         || P::var(&env, 0).expect("provider var"),
         &mut ctx0,
         flaw,
@@ -149,7 +147,17 @@ fn run_one<P: Provider>(
                     .find(|h| h.rec == plan.fld)
                     .expect("fld must be linked")
                     .field(0);
-                if d.scx(&mut ctx, p, handles, 0, plan.fld, 0, old + 1) {
+                // SCX takes its handle set as an array; the plan's link
+                // count is only known here, so dispatch on it.
+                let new = old + 1;
+                let committed = match handles.len() {
+                    1 => d.scx(&mut ctx, p, linked::<_, 1>(handles), 0, plan.fld, 0, new),
+                    2 => d.scx(&mut ctx, p, linked::<_, 2>(handles), 0, plan.fld, 0, new),
+                    3 => d.scx(&mut ctx, p, linked::<_, 3>(handles), 0, plan.fld, 0, new),
+                    4 => d.scx(&mut ctx, p, linked::<_, 4>(handles), 0, plan.fld, 0, new),
+                    k => panic!("an SCX links 1..={MAX_V} records, the plan links {k}"),
+                };
+                if committed {
                     successes[p].fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -161,6 +169,11 @@ fn run_one<P: Provider>(
         .sum();
     let ok: u64 = successes.iter().map(|s| s.load(Ordering::Relaxed)).sum();
     Ok((exec, total == ok))
+}
+
+/// The plan's handles as the fixed-size set [`LlxDomain::scx`] takes.
+fn linked<T: std::fmt::Debug, const N: usize>(handles: Vec<T>) -> [T; N] {
+    handles.try_into().expect("dispatched on the handle count")
 }
 
 fn check_with<P: Provider>(

@@ -263,6 +263,36 @@ fn simultaneous_keeps_raise_max_live() {
     assert!(f.leaks.is_empty(), "leaks: {:?}", f.leaks);
 }
 
+#[test]
+fn scx_array_handle_set_consumes_every_handle() {
+    let f = one_fn(
+        "fn del(&self, ctx: &mut C) -> bool {\n\
+             let LlxOutcome::Linked(hg) = self.d.llx(ctx, gp) else { return false; };\n\
+             let LlxOutcome::Linked(hp) = self.d.llx(ctx, p) else { self.d.unlink(ctx, hg); return false; };\n\
+             let LlxOutcome::Linked(hl) = self.d.llx(ctx, l) else { self.d.unlink(ctx, hg); self.d.unlink(ctx, hp); return false; };\n\
+             self.d.scx(ctx, p, [hg, hp, hl], 0b110, gp, side, v)\n\
+         }\n",
+    );
+    assert_eq!(f.births, 3);
+    assert_eq!(f.max_live, 3);
+    assert!(f.uses_llx_family);
+    assert!(f.leaks.is_empty(), "leaks: {:?}", f.leaks);
+}
+
+#[test]
+fn handle_left_out_of_the_scx_array_leaks() {
+    let f = one_fn(
+        "fn ins(&self, ctx: &mut C) -> bool {\n\
+             let LlxOutcome::Linked(hp) = self.d.llx(ctx, p) else { return false; };\n\
+             let LlxOutcome::Linked(hl) = self.d.llx(ctx, l) else { self.d.unlink(ctx, hp); return false; };\n\
+             self.d.scx(ctx, p, [hp], 0, p, side, v)\n\
+         }\n",
+    );
+    assert_eq!(f.leaks.len(), 1, "leaks: {:?}", f.leaks);
+    assert_eq!(f.leaks[0].keep, "hl");
+    assert_eq!(f.leaks[0].birth_line, 3);
+}
+
 // ---------------------------------------------------------------------------
 // R7 backoff discipline + annotations
 // ---------------------------------------------------------------------------

@@ -200,13 +200,17 @@ impl LlxSnapshot {
     }
 }
 
-/// One record: an `info` word coordinating freeze/finalize, `fields`
-/// mutable only through SCX, and immutable-after-alloc `meta` words
-/// (keys, payload values) in plain atomics.
-struct Record<V: LlScVar> {
+/// One record: an `info` word coordinating freeze/finalize, `F` fields
+/// mutable only through SCX, and `M` immutable-after-alloc `meta` words
+/// (keys, payload values) in plain atomics. Stored inline in the
+/// domain's slab, so reading a record's routing key and a child edge
+/// touches one slot. Natural alignment on purpose: with a 16-byte
+/// provider word, `Record<_, 2, 2>` is exactly 64 bytes, and forcing
+/// 64-byte alignment bought no speed while making peak RSS erratic.
+struct Record<V: LlScVar, const F: usize, const M: usize> {
     info: V,
-    fields: Box<[V]>,
-    meta: Box<[AtomicU64]>,
+    fields: [V; F],
+    meta: [AtomicU64; M],
 }
 
 /// Per-process SCX descriptor payload — the Figure-6 announce row. Plain
@@ -337,18 +341,19 @@ fn state_of(w: u64) -> u64 {
 
 /// An arena of LLX/SCX records plus the per-process SCX descriptors, all
 /// coordination words built by one `make_var` closure — provider-generic
-/// exactly like [`Set`](../nbsp_structures/struct.Set.html).
+/// exactly like [`Set`](../nbsp_structures/struct.Set.html). Every record
+/// carries `F` SCX-mutable fields (`1..=MAX_FIELDS`) and `M`
+/// immutable-after-alloc meta words, fixed by the type.
 ///
 /// ```
 /// use nbsp_core::{CasLlSc, Native, TagLayout};
 /// use nbsp_llx::{LlxDomain, LlxOutcome};
 ///
 /// let mut ctx = Native;
-/// let d = LlxDomain::new(
+/// // 1 mutable field and 1 meta word per record.
+/// let d: LlxDomain<_, 1, 1> = LlxDomain::new(
 ///     2,  // processes
 ///     8,  // record budget
-///     1,  // mutable fields per record
-///     1,  // immutable meta words per record
 ///     || CasLlSc::new_native(TagLayout::half(), 0).unwrap(),
 ///     &mut ctx,
 /// );
@@ -356,15 +361,14 @@ fn state_of(w: u64) -> u64 {
 /// let h = d.llx(&mut ctx, r).expect_linked("fresh");
 /// assert_eq!(h.field(0), 7);
 /// // SCX as process 0: V = {r}, finalize nothing, write field 0.
-/// assert!(d.scx(&mut ctx, 0, vec![h], 0, r, 0, 8));
+/// assert!(d.scx(&mut ctx, 0, [h], 0, r, 0, 8));
 /// let h = d.llx(&mut ctx, r).expect_linked("still live");
 /// assert_eq!(h.field(0), 8);
 /// d.unlink(&mut ctx, h);
 /// ```
-pub struct LlxDomain<V: LlScVar> {
+pub struct LlxDomain<V: LlScVar, const F: usize, const M: usize> {
     n: usize,
-    fields_per_record: usize,
-    recs: Box<[Record<V>]>,
+    recs: Box<[Record<V, F, M>]>,
     bump: AtomicUsize,
     descs: Box<[CachePadded<Desc>]>,
     states: Box<[CachePadded<V>]>,
@@ -373,46 +377,36 @@ pub struct LlxDomain<V: LlScVar> {
     flaw: Flaw,
 }
 
-impl<V: LlScVar> fmt::Debug for LlxDomain<V> {
+impl<V: LlScVar, const F: usize, const M: usize> fmt::Debug for LlxDomain<V, F, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LlxDomain")
             .field("n", &self.n)
             .field("capacity", &self.recs.len())
-            .field("fields_per_record", &self.fields_per_record)
+            .field("fields_per_record", &F)
             .finish_non_exhaustive()
     }
 }
 
-impl<V: LlScVar> LlxDomain<V> {
+impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
     /// Builds a domain for `n` processes with a lifetime budget of
-    /// `capacity` records, each carrying `fields_per_record` SCX-mutable
-    /// fields and `meta_words` immutable-after-alloc words. All LL/SC
-    /// words come from `make_var`; `ctx` is any operation context (used
-    /// only to zero-initialize, the construction is single-threaded).
+    /// `capacity` records. All LL/SC words come from `make_var`; `ctx`
+    /// is any operation context (used only to zero-initialize words that
+    /// `make_var` did not already zero; the construction is
+    /// single-threaded).
     ///
     /// # Panics
     ///
-    /// Panics if `fields_per_record > MAX_FIELDS` or the variable's value
-    /// width cannot fit the info layout (needs `9 + ⌈log₂(n+1)⌉` bits
-    /// plus at least 8 version bits).
+    /// Panics if the variable's value width cannot fit the info layout
+    /// (needs `9 + ⌈log₂(n+1)⌉` bits plus at least 8 version bits). A
+    /// field count outside `1..=MAX_FIELDS` fails to compile.
     #[must_use]
     pub fn new(
         n: usize,
         capacity: usize,
-        fields_per_record: usize,
-        meta_words: usize,
         mut make_var: impl FnMut() -> V,
         ctx: &mut V::Ctx<'_>,
     ) -> Self {
-        Self::build(
-            n,
-            capacity,
-            fields_per_record,
-            meta_words,
-            &mut make_var,
-            ctx,
-            Flaw::None,
-        )
+        Self::build(n, capacity, &mut make_var, ctx, Flaw::None)
     }
 
     /// A deliberately broken domain for the model checker's planted-bug
@@ -422,42 +416,32 @@ impl<V: LlScVar> LlxDomain<V> {
     pub fn new_flawed(
         n: usize,
         capacity: usize,
-        fields_per_record: usize,
-        meta_words: usize,
         mut make_var: impl FnMut() -> V,
         ctx: &mut V::Ctx<'_>,
         flaw: Flaw,
     ) -> Self {
-        Self::build(
-            n,
-            capacity,
-            fields_per_record,
-            meta_words,
-            &mut make_var,
-            ctx,
-            flaw,
-        )
+        Self::build(n, capacity, &mut make_var, ctx, flaw)
     }
 
     fn build(
         n: usize,
         capacity: usize,
-        fields_per_record: usize,
-        meta_words: usize,
         make_var: &mut dyn FnMut() -> V,
         ctx: &mut V::Ctx<'_>,
         flaw: Flaw,
     ) -> Self {
+        const {
+            assert!(
+                F >= 1 && F <= MAX_FIELDS,
+                "records carry 1..=MAX_FIELDS mutable fields"
+            );
+        }
         assert!(n >= 1, "at least one process");
-        assert!(
-            (1..=MAX_FIELDS).contains(&fields_per_record),
-            "fields_per_record must be in 1..={MAX_FIELDS}"
-        );
-        let recs: Box<[Record<V>]> = (0..capacity)
+        let recs: Box<[Record<V, F, M>]> = (0..capacity)
             .map(|_| Record {
                 info: make_var(),
-                fields: (0..fields_per_record).map(|_| make_var()).collect(),
-                meta: (0..meta_words).map(|_| AtomicU64::new(0)).collect(),
+                fields: std::array::from_fn(|_| make_var()),
+                meta: std::array::from_fn(|_| AtomicU64::new(0)),
             })
             .collect();
         let states: Box<[CachePadded<V>]> =
@@ -468,7 +452,6 @@ impl<V: LlScVar> LlxDomain<V> {
         let layout = InfoLayout::new(n, probe_max);
         let d = LlxDomain {
             n,
-            fields_per_record,
             recs,
             bump: AtomicUsize::new(0),
             descs: (0..n).map(|_| CachePadded::new(Desc::new())).collect(),
@@ -477,14 +460,17 @@ impl<V: LlScVar> LlxDomain<V> {
             max_val: probe_max,
             flaw,
         };
-        for r in d.recs.iter() {
-            d.force_store(ctx, &r.info, 0);
-            for f in r.fields.iter() {
-                d.force_store(ctx, f, 0);
+        // Every word starts at 0 (an unfrozen version-0 info word, a
+        // null field, `pack_state(0, ST_IDLE)`). Providers hand out zeroed
+        // words, so the LL/SC store is only paid where one did not.
+        let words = d
+            .recs
+            .iter()
+            .flat_map(|r| std::iter::once(&r.info).chain(&r.fields));
+        for var in words.chain(d.states.iter().map(|s| &**s)) {
+            if var.read(ctx) != 0 {
+                d.force_store(ctx, var, 0);
             }
-        }
-        for s in d.states.iter() {
-            d.force_store(ctx, s, pack_state(0, ST_IDLE));
         }
         d
     }
@@ -505,12 +491,6 @@ impl<V: LlScVar> LlxDomain<V> {
     #[must_use]
     pub fn processes(&self) -> usize {
         self.n
-    }
-
-    /// Mutable fields per record.
-    #[must_use]
-    pub fn fields_per_record(&self) -> usize {
-        self.fields_per_record
     }
 
     /// Records still available in the lifetime budget.
@@ -536,31 +516,18 @@ impl<V: LlScVar> LlxDomain<V> {
     ///
     /// [`LlxError::Full`] when the lifetime budget is exhausted (records
     /// are never reclaimed — the workspace-wide arena discipline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `meta` or `fields` mismatch the domain's per-record
-    /// shape.
     pub fn alloc(
         &self,
         ctx: &mut V::Ctx<'_>,
-        meta: &[u64],
-        fields: &[u64],
+        meta: &[u64; M],
+        fields: &[u64; F],
     ) -> Result<usize, LlxError> {
-        assert_eq!(fields.len(), self.fields_per_record, "field count");
         let idx = self.bump.fetch_add(1, Ordering::Relaxed);
         if idx >= self.recs.len() {
             self.bump.store(self.recs.len(), Ordering::Relaxed);
             return Err(LlxError::Full);
         }
-        let rec = &self.recs[idx];
-        assert_eq!(meta.len(), rec.meta.len(), "meta count");
-        for (slot, &m) in rec.meta.iter().zip(meta) {
-            slot.store(m, Ordering::Release);
-        }
-        for (f, &init) in rec.fields.iter().zip(fields) {
-            self.force_store(ctx, f, init);
-        }
+        self.reinit(ctx, idx, meta, fields);
         Ok(idx)
     }
 
@@ -569,14 +536,8 @@ impl<V: LlScVar> LlxDomain<V> {
     /// its freshly allocated records, so a retry may repurpose them
     /// instead of burning more of the lifetime budget. Calling this on a
     /// reachable record is a protocol violation (it bypasses SCX).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, as [`LlxDomain::alloc`].
-    pub fn reinit(&self, ctx: &mut V::Ctx<'_>, rec: usize, meta: &[u64], fields: &[u64]) {
-        assert_eq!(fields.len(), self.fields_per_record, "field count");
+    pub fn reinit(&self, ctx: &mut V::Ctx<'_>, rec: usize, meta: &[u64; M], fields: &[u64; F]) {
         let r = &self.recs[rec];
-        assert_eq!(meta.len(), r.meta.len(), "meta count");
         for (slot, &m) in r.meta.iter().zip(meta) {
             slot.store(m, Ordering::Release);
         }
@@ -622,8 +583,8 @@ impl<V: LlScVar> LlxDomain<V> {
                 continue;
             }
             let mut vals = [0u64; MAX_FIELDS];
-            for (f, v) in vals.iter_mut().enumerate().take(self.fields_per_record) {
-                *v = self.recs[rec].fields[f].read(ctx);
+            for (v, f) in vals.iter_mut().zip(&self.recs[rec].fields) {
+                *v = f.read(ctx);
             }
             if info.vl(ctx, &keep) {
                 return LlxOutcome::Linked(LlxHandle {
@@ -691,26 +652,24 @@ impl<V: LlScVar> LlxDomain<V> {
     ///
     /// Returns whether the SCX committed. All keeps are consumed either
     /// way. `new` must satisfy the freshness requirement (module docs).
+    /// The handle set is an array, so a commit allocates nothing; a set
+    /// size outside `1..=MAX_V` fails to compile.
     ///
     /// # Panics
     ///
-    /// Panics on an empty or oversized handle set, or if `fld_rec` is not
-    /// among the linked records.
+    /// Panics if `fld_rec` is not among the linked records.
     #[allow(clippy::too_many_arguments)] // BER's SCX(V, R, fld, new) signature, kept recognizable
-    pub fn scx(
+    pub fn scx<const N: usize>(
         &self,
         ctx: &mut V::Ctx<'_>,
         p: usize,
-        mut handles: Vec<LlxHandle<V>>,
+        mut handles: [LlxHandle<V>; N],
         fin_mask: u64,
         fld_rec: usize,
         fld_idx: usize,
         new: u64,
     ) -> bool {
-        assert!(
-            !handles.is_empty() && handles.len() <= MAX_V,
-            "SCX links 1..={MAX_V} records"
-        );
+        const { assert!(N >= 1 && N <= MAX_V, "SCX links 1..=MAX_V records") };
         let fld_slot = handles
             .iter()
             .position(|h| h.rec == fld_rec)
@@ -723,7 +682,7 @@ impl<V: LlScVar> LlxDomain<V> {
         // for the whole InProgress window.
         let d = &self.descs[p];
         let seq = state_seq(self.states[p].read(ctx)).wrapping_add(1);
-        d.v_len.store(handles.len(), Ordering::Relaxed);
+        d.v_len.store(N, Ordering::Relaxed);
         for (i, h) in handles.iter().enumerate() {
             d.v[i].store(h.rec, Ordering::Relaxed);
             d.exp[i].store(h.info, Ordering::Relaxed);
@@ -750,10 +709,9 @@ impl<V: LlScVar> LlxDomain<V> {
         // is not a verdict (it may be spurious, or a helper may already
         // have installed our freeze word); help() below resolves every
         // record uniformly by value.
-        for (i, h) in handles.iter_mut().enumerate() {
+        for h in &mut handles {
             let target = self.layout.freeze_word(h.info, p, seq);
             let _ = self.recs[h.rec].info.sc(ctx, &mut h.keep, target);
-            let _ = i;
         }
 
         self.help(ctx, p);
@@ -914,65 +872,99 @@ mod tests {
     use super::*;
     use nbsp_core::{CasLlSc, Native, TagLayout};
 
-    fn native_domain(n: usize, capacity: usize, fields: usize) -> LlxDomain<CasLlSc<Native>> {
+    fn native_domain<const F: usize>(
+        n: usize,
+        capacity: usize,
+    ) -> LlxDomain<CasLlSc<Native>, F, 1> {
         let mut ctx = Native;
         LlxDomain::new(
             n,
             capacity,
-            fields,
-            1,
             || CasLlSc::new_native(TagLayout::half(), 0).unwrap(),
             &mut ctx,
         )
     }
 
     #[test]
+    fn ordmap_shaped_record_fills_one_cache_line() {
+        // info + 2 fields at 16 bytes each, plus 2 meta words: one
+        // 64-byte line, no pointer to chase.
+        assert_eq!(std::mem::size_of::<CasLlSc<Native>>(), 16);
+        assert_eq!(std::mem::size_of::<Record<CasLlSc<Native>, 2, 2>>(), 64);
+    }
+
+    #[test]
+    fn words_start_at_zero_even_when_make_var_does_not() {
+        let mut ctx = Native;
+        let d: LlxDomain<_, 2, 1> = LlxDomain::new(
+            3,
+            4,
+            || CasLlSc::new_native(TagLayout::half(), 5).unwrap(),
+            &mut ctx,
+        );
+        for r in d.recs.iter() {
+            assert_eq!(r.info.read(&ctx), 0, "info word");
+            for f in &r.fields {
+                assert_eq!(f.read(&ctx), 0, "field word");
+            }
+        }
+        for s in d.states.iter() {
+            assert_eq!(s.read(&ctx), pack_state(0, ST_IDLE), "state word");
+        }
+        // And the protocol runs from there.
+        let r = d.alloc(&mut ctx, &[1], &[2, 3]).unwrap();
+        let h = d.llx(&mut ctx, r).expect_linked("fresh");
+        assert!(d.scx(&mut ctx, 2, [h], 0, r, 0, 4));
+        assert_eq!(d.read_field(&mut ctx, r, 0), 4);
+    }
+
+    #[test]
     fn llx_scx_single_record_roundtrip() {
-        let d = native_domain(2, 4, 2);
+        let d = native_domain::<2>(2, 4);
         let mut ctx = Native;
         let r = d.alloc(&mut ctx, &[11], &[1, 2]).unwrap();
         assert_eq!(d.meta(r, 0), 11);
         let h = d.llx(&mut ctx, r).expect_linked("fresh");
         assert_eq!((h.field(0), h.field(1)), (1, 2));
-        assert!(d.scx(&mut ctx, 0, vec![h], 0, r, 1, 9));
+        assert!(d.scx(&mut ctx, 0, [h], 0, r, 1, 9));
         assert_eq!(d.read_field(&mut ctx, r, 1), 9);
         assert_eq!(d.read_field(&mut ctx, r, 0), 1);
     }
 
     #[test]
     fn scx_fails_after_conflicting_scx() {
-        let d = native_domain(2, 4, 1);
+        let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
         let r = d.alloc(&mut ctx, &[0], &[5]).unwrap();
         let h0 = d.llx(&mut ctx, r).expect_linked("p0");
         let h1 = d.llx(&mut ctx, r).expect_linked("p1");
-        assert!(d.scx(&mut ctx, 0, vec![h0], 0, r, 0, 6));
+        assert!(d.scx(&mut ctx, 0, [h0], 0, r, 0, 6));
         // p1's snapshot is stale now: its SCX must abort.
-        assert!(!d.scx(&mut ctx, 1, vec![h1], 0, r, 0, 7));
+        assert!(!d.scx(&mut ctx, 1, [h1], 0, r, 0, 7));
         assert_eq!(d.read_field(&mut ctx, r, 0), 6);
     }
 
     #[test]
     fn finalized_records_stay_finalized() {
-        let d = native_domain(2, 4, 1);
+        let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
         let a = d.alloc(&mut ctx, &[0], &[1]).unwrap();
         let b = d.alloc(&mut ctx, &[0], &[2]).unwrap();
         let ha = d.llx(&mut ctx, a).expect_linked("a");
         let hb = d.llx(&mut ctx, b).expect_linked("b");
         // V = {a, b}, finalize b (bit 1), write a.
-        assert!(d.scx(&mut ctx, 0, vec![ha, hb], 0b10, a, 0, 3));
+        assert!(d.scx(&mut ctx, 0, [ha, hb], 0b10, a, 0, 3));
         assert!(matches!(d.llx(&mut ctx, b), LlxOutcome::Finalized));
         assert!(d.llx_snapshot(&mut ctx, b).is_none());
         // a is unfrozen and writable again.
         let ha = d.llx(&mut ctx, a).expect_linked("a again");
         assert_eq!(ha.field(0), 3);
-        assert!(d.scx(&mut ctx, 1, vec![ha], 0, a, 0, 4));
+        assert!(d.scx(&mut ctx, 1, [ha], 0, a, 0, 4));
     }
 
     #[test]
     fn multi_record_scx_validates_every_link() {
-        let d = native_domain(2, 4, 1);
+        let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
         let a = d.alloc(&mut ctx, &[0], &[10]).unwrap();
         let b = d.alloc(&mut ctx, &[0], &[20]).unwrap();
@@ -980,15 +972,15 @@ mod tests {
         let hb = d.llx(&mut ctx, b).expect_linked("b");
         // Concurrent change to b (not the written field's record):
         let hb2 = d.llx(&mut ctx, b).expect_linked("b2");
-        assert!(d.scx(&mut ctx, 1, vec![hb2], 0, b, 0, 21));
+        assert!(d.scx(&mut ctx, 1, [hb2], 0, b, 0, 21));
         // The two-record SCX linked b's old snapshot: must abort.
-        assert!(!d.scx(&mut ctx, 0, vec![ha, hb], 0, a, 0, 11));
+        assert!(!d.scx(&mut ctx, 0, [ha, hb], 0, a, 0, 11));
         assert_eq!(d.read_field(&mut ctx, a, 0), 10);
     }
 
     #[test]
     fn vlx_detects_interference_and_quiet() {
-        let d = native_domain(2, 4, 1);
+        let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
         let r = d.alloc(&mut ctx, &[0], &[1]).unwrap();
         let h = d.llx(&mut ctx, r).expect_linked("r");
@@ -996,7 +988,7 @@ mod tests {
         let s = d.llx_snapshot(&mut ctx, r).unwrap();
         assert!(d.vlx_snapshots(&mut ctx, &[s]));
         let h2 = d.llx(&mut ctx, r).expect_linked("writer");
-        assert!(d.scx(&mut ctx, 1, vec![h2], 0, r, 0, 2));
+        assert!(d.scx(&mut ctx, 1, [h2], 0, r, 0, 2));
         assert!(!d.vlx(&mut ctx, &[&h]));
         assert!(!d.vlx_snapshots(&mut ctx, &[s]));
         d.unlink(&mut ctx, h);
@@ -1004,7 +996,7 @@ mod tests {
 
     #[test]
     fn arena_budget_is_enforced() {
-        let d = native_domain(1, 2, 1);
+        let d = native_domain::<1>(1, 2);
         let mut ctx = Native;
         assert!(d.alloc(&mut ctx, &[0], &[0]).is_ok());
         assert!(d.alloc(&mut ctx, &[0], &[0]).is_ok());
@@ -1019,7 +1011,7 @@ mod tests {
         // and helping rather than lost updates.
         const THREADS: usize = 4;
         const ROUNDS: usize = 2_000;
-        let d = native_domain(THREADS, 4, 1);
+        let d = native_domain::<1>(THREADS, 4);
         let mut ctx = Native;
         let a = d.alloc(&mut ctx, &[0], &[0]).unwrap();
         let b = d.alloc(&mut ctx, &[0], &[0]).unwrap();
@@ -1037,7 +1029,7 @@ mod tests {
                             // both positions of V get exercised.
                             let (t, ti) = if i % 2 == 0 { (a, 0) } else { (b, 0) };
                             let old = if t == a { ha.field(0) } else { hb.field(0) };
-                            if d.scx(&mut ctx, p, vec![ha, hb], 0, t, ti, old + 1) {
+                            if d.scx(&mut ctx, p, [ha, hb], 0, t, ti, old + 1) {
                                 ok += 1;
                             }
                         }
@@ -1059,10 +1051,10 @@ mod tests {
         use nbsp_core::lock_baseline::LockLlSc;
         use nbsp_memsim::ProcId;
         let mut c0 = ProcId::new(0);
-        let d = LlxDomain::new(2, 4, 1, 1, || LockLlSc::new(2, 0), &mut c0);
+        let d = LlxDomain::<_, 1, 1>::new(2, 4, || LockLlSc::new(2, 0), &mut c0);
         let r = d.alloc(&mut c0, &[1], &[5]).unwrap();
         let h = d.llx(&mut c0, r).expect_linked("r");
-        assert!(d.scx(&mut c0, 0, vec![h], 0, r, 0, 6));
+        assert!(d.scx(&mut c0, 0, [h], 0, r, 0, 6));
         assert_eq!(d.read_field(&mut c0, r, 0), 6);
     }
 }

@@ -12,21 +12,15 @@ fn protocol<P: Provider>() {
     let env = P::env(2).expect("provider env");
     let mut tc0 = P::thread_ctx(&env, 0);
     let mut ctx0 = P::ctx(&mut tc0);
-    let d = LlxDomain::new(
-        2,
-        8,
-        2,
-        1,
-        || P::var(&env, 0).expect("provider var"),
-        &mut ctx0,
-    );
+    let d: LlxDomain<_, 2, 1> =
+        LlxDomain::new(2, 8, || P::var(&env, 0).expect("provider var"), &mut ctx0);
     let a = d.alloc(&mut ctx0, &[1], &[10, 20]).unwrap();
     let b = d.alloc(&mut ctx0, &[2], &[30, 40]).unwrap();
 
     // Roundtrip: link, commit, re-read.
     let ha = d.llx(&mut ctx0, a).expect_linked("a");
     assert_eq!((ha.field(0), ha.field(1)), (10, 20));
-    assert!(d.scx(&mut ctx0, 0, vec![ha], 0, a, 0, 11));
+    assert!(d.scx(&mut ctx0, 0, [ha], 0, a, 0, 11));
     assert_eq!(d.read_field(&mut ctx0, a, 0), 11);
 
     // Two-record SCX from the second slot, finalizing b.
@@ -35,22 +29,22 @@ fn protocol<P: Provider>() {
     let ha = d.llx(&mut ctx1, a).expect_linked("a");
     let hb = d.llx(&mut ctx1, b).expect_linked("b");
     assert_eq!(hb.field(0), 30);
-    assert!(d.scx(&mut ctx1, 1, vec![ha, hb], 0b10, a, 1, 99));
+    assert!(d.scx(&mut ctx1, 1, [ha, hb], 0b10, a, 1, 99));
     assert!(matches!(d.llx(&mut ctx1, b), LlxOutcome::Finalized));
     assert_eq!(d.read_field(&mut ctx1, a, 1), 99);
 
     // Conflict: a later committed SCX must abort the stale one.
     let h0 = d.llx(&mut ctx0, a).expect_linked("p0");
     let h1 = d.llx(&mut ctx1, a).expect_linked("p1");
-    assert!(d.scx(&mut ctx1, 1, vec![h1], 0, a, 0, 12));
-    assert!(!d.scx(&mut ctx0, 0, vec![h0], 0, a, 0, 13));
+    assert!(d.scx(&mut ctx1, 1, [h1], 0, a, 0, 12));
+    assert!(!d.scx(&mut ctx0, 0, [h0], 0, a, 0, 13));
     assert_eq!(d.read_field(&mut ctx0, a, 0), 12);
 
     // VLX: quiet set validates, disturbed set does not.
     let s = d.llx_snapshot(&mut ctx0, a).unwrap();
     assert!(d.vlx_snapshots(&mut ctx0, &[s]));
     let h = d.llx(&mut ctx1, a).expect_linked("writer");
-    assert!(d.scx(&mut ctx1, 1, vec![h], 0, a, 0, 14));
+    assert!(d.scx(&mut ctx1, 1, [h], 0, a, 0, 14));
     assert!(!d.vlx_snapshots(&mut ctx0, &[s]));
 }
 
@@ -63,11 +57,9 @@ fn conservation<P: Provider>() {
     let env = P::env(THREADS + 1).expect("provider env");
     let mut ctx_init_tc = P::thread_ctx(&env, THREADS);
     let mut ctx_init = P::ctx(&mut ctx_init_tc);
-    let d = LlxDomain::new(
+    let d: LlxDomain<_, 1, 1> = LlxDomain::new(
         THREADS,
         4,
-        1,
-        1,
         || P::var(&env, 0).expect("provider var"),
         &mut ctx_init,
     );
@@ -90,7 +82,7 @@ fn conservation<P: Provider>() {
                         } else {
                             (b, hb.field(0))
                         };
-                        if d.scx(&mut ctx, p, vec![ha, hb], 0, t, 0, old + 1) {
+                        if d.scx(&mut ctx, p, [ha, hb], 0, t, 0, old + 1) {
                             ok += 1;
                         }
                     }

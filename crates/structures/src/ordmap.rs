@@ -91,7 +91,8 @@ fn route(key: u64, node_key: u64) -> usize {
 /// SCX descriptor slot). All methods take the provider operation
 /// context.
 pub struct OrdMap<V: LlScVar> {
-    d: LlxDomain<V>,
+    /// Records carry two child edges and two meta words (key, value).
+    d: LlxDomain<V, 2, 2>,
     root: usize,
 }
 
@@ -127,7 +128,7 @@ impl<V: LlScVar> OrdMap<V> {
         make_var: impl FnMut() -> V,
         ctx: &mut V::Ctx<'_>,
     ) -> Self {
-        let d = LlxDomain::new(n, capacity, 2, 2, make_var, ctx);
+        let d = LlxDomain::new(n, capacity, make_var, ctx);
         assert!(
             capacity as u64 <= d.max_val(),
             "record encoding needs {capacity} values, provider holds {}",
@@ -239,13 +240,13 @@ impl<V: LlScVar> OrdMap<V> {
                     continue;
                 };
                 let old = self.d.meta(leaf, VAL);
-                if self.d.scx(ctx, p, vec![hp, hl], 0b10, par, pside, enc(nl)) {
+                if self.d.scx(ctx, p, [hp, hl], 0b10, par, pside, enc(nl)) {
                     return Ok(Some(old));
                 }
                 false
             } else {
                 self.d
-                    .scx(ctx, p, vec![hp], 0, par, pside, enc(internal.unwrap()))
+                    .scx(ctx, p, [hp], 0, par, pside, enc(internal.unwrap()))
             };
             if committed {
                 return Ok(None);
@@ -334,7 +335,7 @@ impl<V: LlScVar> OrdMap<V> {
             // V = [gp, par, leaf, sib] ancestors-first; finalize all but gp.
             if self
                 .d
-                .scx(ctx, p, vec![hg, hp, hl, hs], 0b1110, gp, gside, enc(sp))
+                .scx(ctx, p, [hg, hp, hl, hs], 0b1110, gp, gside, enc(sp))
             {
                 return Ok(Some(old));
             }
@@ -405,8 +406,8 @@ impl<V: LlScVar> OrdMap<V> {
         &self,
         ctx: &mut V::Ctx<'_>,
         spare: &mut Option<usize>,
-        meta: &[u64],
-        fields: &[u64],
+        meta: &[u64; 2],
+        fields: &[u64; 2],
     ) -> Result<usize, StructureError> {
         match *spare {
             Some(rec) => {
